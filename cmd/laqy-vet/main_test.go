@@ -1,10 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -56,8 +60,48 @@ func TestRunSelfClean(t *testing.T) {
 	}
 }
 
+// wantLines returns "file:line" for every line of the package's .go files
+// that carries a `// want` annotation — the golden package's own record of
+// the findings the analyzer must report.
+func wantLines(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{}
+	for _, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(f)
+		for line := 1; sc.Scan(); line++ {
+			if strings.Contains(sc.Text(), "// want `") {
+				want[fmt.Sprintf("%s:%d", filepath.Base(path), line)] = true
+			}
+		}
+		f.Close()
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return want
+}
+
+// sortedKeys renders a set for failure messages.
+func sortedKeys(m map[string]bool) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // TestRunJSONFindings runs one analyzer over its golden package and checks
-// the JSON stream: parseable, sorted, and carrying the suppression hint.
+// the JSON stream: parseable, sorted, carrying the suppression hint, and
+// reporting exactly the lines the package annotates with `// want`.
 func TestRunJSONFindings(t *testing.T) {
 	_, file, _, ok := runtime.Caller(0)
 	if !ok {
@@ -70,11 +114,11 @@ func TestRunJSONFindings(t *testing.T) {
 		t.Fatalf("expected findings (exit 1), got %d:\n%s%s", code, out.String(), errb.String())
 	}
 	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	// a.go: unjoined spin + dynamic spawn; b.go: accept-loop leak +
-	// unjoined serve goroutine (the server-shaped goldens).
-	if len(lines) != 4 {
-		t.Fatalf("expected 4 findings in the goleak golden package, got %d:\n%s", len(lines), out.String())
+	want := wantLines(t, dir)
+	if len(want) == 0 {
+		t.Fatal("goleak golden package has no // want annotations")
 	}
+	got := map[string]bool{}
 	prevFile, prevLine := "", 0
 	for _, l := range lines {
 		var f finding
@@ -94,5 +138,13 @@ func TestRunJSONFindings(t *testing.T) {
 			t.Fatalf("findings not sorted by file: %v", lines)
 		}
 		prevFile, prevLine = f.File, f.Line
+		pos := fmt.Sprintf("%s:%d", filepath.Base(f.File), f.Line)
+		if got[pos] {
+			t.Fatalf("duplicate finding at %s: %v", pos, lines)
+		}
+		got[pos] = true
+	}
+	if g, w := sortedKeys(got), sortedKeys(want); strings.Join(g, " ") != strings.Join(w, " ") {
+		t.Fatalf("findings at %v, want exactly the annotated lines %v", g, w)
 	}
 }

@@ -52,7 +52,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Fatal("EXPLAIN ANALYZE must also return the result rows")
 	}
 	wantOnline := strings.Join([]string{
-		"query <dur> [mode=online rows=7 enc_ratio=0.17]",
+		"query <dur> [mode=online rows=7 enc_ratio=0.40]",
 		"  parse <dur>",
 		"  plan <dur>",
 		"  admission <dur>",
@@ -72,7 +72,7 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 		t.Fatalf("second run mode = %q, want partial", res2.Mode)
 	}
 	wantPartial := strings.Join([]string{
-		"query <dur> [mode=partial rows=7 enc_ratio=0.17]",
+		"query <dur> [mode=partial rows=7 enc_ratio=0.40]",
 		"  parse <dur>",
 		"  plan <dur>",
 		"  admission <dur>",

@@ -12,9 +12,10 @@ import (
 )
 
 // buildClusteredFact builds a sealed multi-segment fact shaped for the
-// encodings: e_date is sorted with long runs (RLE), e_flag is a narrow
-// shuffled domain (FOR), e_one is constant, e_wide is un-encodable noise,
-// and e_val is the small aggregation payload.
+// encodings: e_date is sorted with long runs (RLE), e_flag is a shuffled
+// narrow domain (8-bit narrow offsets; no zone map can decide it), e_one is
+// constant, e_wide is un-encodable noise, and e_val is the small shuffled
+// aggregation payload (16-bit narrow offsets).
 func buildClusteredFact(t testing.TB, n int, seed int64) *storage.Table {
 	t.Helper()
 	rnd := rand.New(rand.NewSource(seed))
@@ -49,8 +50,8 @@ func buildClusteredFact(t testing.TB, n int, seed int64) *storage.Table {
 }
 
 // encodedPredicates is the predicate zoo the equivalence tests sweep: every
-// kernel shape (RLE produce/refine, FOR single and multi interval, const,
-// plain fallback, zone-map interactions).
+// kernel shape (RLE and narrow produce/refine, single and multi interval,
+// const, plain fallback, zone-map interactions).
 func encodedPredicates() []algebra.Predicate {
 	return []algebra.Predicate{
 		algebra.NewPredicate().WithRange("e_date", 20070100, 20070250),
@@ -252,10 +253,13 @@ func TestEncodedSampleBuildEquivalence(t *testing.T) {
 	p := algebra.NewPredicate().WithRange("e_date", 20070030, 20070370).WithRange("e_flag", 1, 35)
 	exprs := ExprsFromNames([]string{"e_flag", "e_val"})
 	for _, par := range []int{-1, 1} { // monolithic and serialized segmented builds
-		enc, _, err := RunStratifiedExprs(&Query{Fact: fact, Filter: p, SegmentParallelism: par},
+		enc, encStats, err := RunStratifiedExprs(&Query{Fact: fact, Filter: p, SegmentParallelism: par},
 			exprs, 1, 64, 99, 1)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if encStats.MorselsEncoded == 0 {
+			t.Fatalf("par %d: no encoded morsels: %+v", par, encStats)
 		}
 		ref, _, err := RunStratifiedExprs(&Query{Fact: fact, Filter: p, SegmentParallelism: par, DisableEncoding: true},
 			exprs, 1, 64, 99, 1)

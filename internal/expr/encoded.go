@@ -1,22 +1,23 @@
 // Selection kernels over encoded columns (storage/encode.go): the filter's
-// conjuncts evaluate directly against a sealed segment's const, RLE, or
-// frame-of-reference representations — no plain vector is materialized,
-// and the per-row work shrinks with the representation:
+// conjuncts evaluate directly against a sealed segment's const, RLE or
+// narrow representations — no plain vector is read:
 //
-//   - EncConst: one value test decides the whole range (all or none);
-//   - EncRLE:   one value test per run, then a compare-free FillRange for
+//   - EncConst:  one value test decides the whole range (all or none);
+//   - EncRLE:    one value test per run, then a compare-free FillRange for
 //     passing runs (producer) or a monotonic merge-walk against the runs
 //     (refiner) — run-granular skip/take composing with the zone map's
 //     morsel-granular skip/full/none;
-//   - EncFOR:   the interval test is rewritten into the packed domain
+//   - EncNarrow: the plain kernels' branchless per-row compare over 8- or
+//     16-bit offsets, with the interval rewritten into the offset domain
 //     (lo <= Ref+u <= hi  ⇔  u-shift <= span in uint64 wraparound
-//     arithmetic, exact for all int64 bounds), so the branchless kernel
-//     compares Width-bit deltas it unpacks two words at a time — touching
-//     Width/64 of the plain path's memory.
+//     arithmetic, exact for all int64 bounds) — an eighth or a quarter of
+//     the plain path's memory traffic, with no unpacking.
 //
-// Dictionary-encoded string columns need nothing special here: their codes
-// are order-preserving integers, so a string range predicate is already an
-// integer interval test and composes with all three encodings.
+// Conjuncts over columns that stayed plain in the segment take the
+// branchless plain kernels. Dictionary-encoded string columns need nothing
+// special here: their codes are order-preserving integers, so a string
+// range predicate is already an integer interval test and composes with
+// every encoding.
 package expr
 
 import (
@@ -101,17 +102,18 @@ func ccContains(cc *compiledCol, v int64) bool {
 // reading the encoded column. Capacity for end-start rows is pre-grown by
 // the caller.
 func produceEncoded(cc *compiledCol, ec *storage.EncodedCol, segBase, start, end int, sel []int32) []int32 {
-	switch ec.Kind {
-	case storage.EncConst:
+	switch {
+	case ec.Kind == storage.EncConst:
 		if ccContains(cc, ec.Value) {
 			return FillRange(sel, start, end)
 		}
 		return sel
-	case storage.EncRLE:
-		return produceRLE(cc, ec, segBase, start, end, sel)
-	default:
-		return produceFOR(cc, ec, segBase, start, end, sel)
+	case ec.Narrow8 != nil:
+		return produceNarrow(cc, ec.Narrow8[start-segBase:end-segBase], ec.Ref, start, sel)
+	case ec.Narrow16 != nil:
+		return produceNarrow(cc, ec.Narrow16[start-segBase:end-segBase], ec.Ref, start, sel)
 	}
+	return produceRLE(cc, ec, segBase, start, end, sel)
 }
 
 // produceRLE is the run-granular producer: one predicate test per run, then
@@ -133,45 +135,30 @@ func produceRLE(cc *compiledCol, ec *storage.EncodedCol, segBase, start, end int
 	return sel
 }
 
-// produceFOR is the branchless bit-unpack producer: the single-interval
-// test is rewritten into the packed domain (shift/span below) so each row
-// costs one two-word unpack and one unsigned compare. Multi-interval
-// constraints decode and fall back to Set.Contains.
+// produceNarrow is the branchless narrow producer: offs holds the offsets
+// of rows [start, start+len(offs)). A single interval costs one widening
+// load and one unsigned compare per row; multi-interval constraints decode
+// and fall back to Set.Contains.
 //
-//laqy:hot branchless bit-unpack selection producer
-func produceFOR(cc *compiledCol, ec *storage.EncodedCol, segBase, start, end int, sel []int32) []int32 {
-	words, width := ec.Words, uint(ec.Width)
-	mask := uint64(1)<<width - 1
-	rel := uint(start - segBase)
+//laqy:hot branchless narrow-offset selection producer
+func produceNarrow[T uint8 | uint16](cc *compiledCol, offs []T, ref int64, start int, sel []int32) []int32 {
 	if cc.single {
 		n := len(sel)
-		buf := sel[:n+end-start]
-		// u passes iff Ref+u (two's-complement) lies in [lo, hi]; in
-		// uint64 wraparound arithmetic that is u-shift <= span, exact for
-		// all int64 bounds and references.
-		shift := uint64(cc.lo) - uint64(ec.Ref)
+		buf := sel[:n+len(offs)]
+		// u passes iff Ref+u lies in [lo, hi]; in uint64 wraparound
+		// arithmetic that is u-shift <= span.
+		shift := uint64(cc.lo) - uint64(ref)
 		span := uint64(cc.hi - cc.lo)
-		// Incremental bit cursor: no per-row multiply; the pad word keeps
-		// words[w+1] in bounds on the last row.
-		bit := rel * width
-		for i := 0; i < end-start; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			w, off := bit>>6, bit&63
-			u := (words[w]>>off | words[w+1]<<(64-off)) & mask
+		for i, u := range offs { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
 			buf[n] = int32(start + i)
-			n += b2i(u-shift <= span)
-			bit += width
+			n += b2i(uint64(u)-shift <= span)
 		}
 		return buf[:n]
 	}
-	ref := uint64(ec.Ref)
-	bit := rel * width
-	for i := 0; i < end-start; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		w, off := bit>>6, bit&63
-		u := (words[w]>>off | words[w+1]<<(64-off)) & mask
-		if cc.set.Contains(int64(ref + u)) {
+	for i, u := range offs { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+		if cc.set.Contains(ref + int64(u)) {
 			sel = append(sel, int32(start+i))
 		}
-		bit += width
 	}
 	return sel
 }
@@ -179,17 +166,40 @@ func produceFOR(cc *compiledCol, ec *storage.EncodedCol, segBase, start, end int
 // refineEncoded compacts live in place to the rows accepted by cc, reading
 // the encoded column, and returns the surviving count.
 func refineEncoded(cc *compiledCol, ec *storage.EncodedCol, segBase int, live []int32) int {
-	switch ec.Kind {
-	case storage.EncConst:
+	switch {
+	case ec.Kind == storage.EncConst:
 		if ccContains(cc, ec.Value) {
 			return len(live)
 		}
 		return 0
-	case storage.EncRLE:
-		return refineRLE(cc, ec, segBase, live)
-	default:
-		return refineFOR(cc, ec, segBase, live)
+	case ec.Narrow8 != nil:
+		return refineNarrow(cc, ec.Narrow8, ec.Ref, segBase, live)
+	case ec.Narrow16 != nil:
+		return refineNarrow(cc, ec.Narrow16, ec.Ref, segBase, live)
 	}
+	return refineRLE(cc, ec, segBase, live)
+}
+
+// refineNarrow is the branchless narrow refiner (see produceNarrow for the
+// offset-domain rewrite); offs holds the whole segment's offsets.
+//
+//laqy:hot branchless narrow-offset selection refiner
+func refineNarrow[T uint8 | uint16](cc *compiledCol, offs []T, ref int64, segBase int, live []int32) int {
+	n := 0
+	if cc.single {
+		shift := uint64(cc.lo) - uint64(ref)
+		span := uint64(cc.hi - cc.lo)
+		for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+			live[n] = idx
+			n += b2i(uint64(offs[int(idx)-segBase])-shift <= span)
+		}
+		return n
+	}
+	for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+		live[n] = idx
+		n += b2i(cc.set.Contains(ref + int64(offs[int(idx)-segBase])))
+	}
+	return n
 }
 
 // refineRLE merge-walks the ascending selection against the runs: the run
@@ -217,49 +227,17 @@ func refineRLE(cc *compiledCol, ec *storage.EncodedCol, segBase int, live []int3
 	return n
 }
 
-// refineFOR is the branchless bit-unpack refiner (see produceFOR for the
-// packed-domain rewrite).
-//
-//laqy:hot branchless bit-unpack selection refiner
-func refineFOR(cc *compiledCol, ec *storage.EncodedCol, segBase int, live []int32) int {
-	words, width := ec.Words, uint(ec.Width)
-	mask := uint64(1)<<width - 1
-	n := 0
-	if cc.single {
-		shift := uint64(cc.lo) - uint64(ec.Ref)
-		span := uint64(cc.hi - cc.lo)
-		for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			bit := uint(int(idx)-segBase) * width
-			w, off := bit>>6, bit&63
-			u := (words[w]>>off | words[w+1]<<(64-off)) & mask
-			live[n] = idx
-			n += b2i(u-shift <= span)
-		}
-		return n
-	}
-	ref := uint64(ec.Ref)
-	for _, idx := range live { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-		bit := uint(int(idx)-segBase) * width
-		w, off := bit>>6, bit&63
-		u := (words[w]>>off | words[w+1]<<(64-off)) & mask
-		live[n] = idx
-		n += b2i(cc.set.Contains(int64(ref + u)))
-	}
-	return n
-}
-
 // PassRuns decomposes the filter's verdict over [start, end) into
 // run-granular all-pass ranges: fn is invoked for each maximal row range in
 // which every row provably passes every conjunct. It reports ok=false —
 // without calling fn — when the filter does not decompose at run
-// granularity over this segment (any conjunct is plain or FOR-encoded
-// there). The engine's fused aggregate path folds the reported ranges
-// straight into run_value×run_length arithmetic with no selection vector.
+// granularity over this segment (any conjunct is plain or narrow there).
+// The engine's fused aggregate path folds the reported ranges straight
+// into run_value×run_length arithmetic with no selection vector.
 func (ef *EncodedFilter) PassRuns(start, end int, fn func(lo, hi int)) bool {
 	f := ef.f
-	for ci := range f.cols {
-		ec := ef.cols[ci]
-		if ec == nil || ec.Kind == storage.EncFOR {
+	for _, ec := range ef.cols {
+		if ec == nil || ec.Kind == storage.EncNarrow {
 			return false
 		}
 	}

@@ -8,10 +8,12 @@ import (
 )
 
 // fuzzExpand turns raw fuzz bytes into a column shaped by mode: 0 grows
-// run-length structure (RLE territory), 1 keeps a narrow domain (FOR
-// territory), 2 spreads values across the full int64 domain (plain
-// territory). Anything the encoder picks must round-trip and select
-// identically, so the shapes just steer coverage.
+// run-length structure (RLE territory), 1 keeps a narrow domain in input
+// order (the shuffled SSB lo_discount shape: 8-bit narrow offsets, or
+// 16-bit ones for mode >= 128, unless the bytes repeat into runs), 2
+// spreads values across the full int64 domain (plain territory). Anything
+// the encoder picks must round-trip and select identically, so the shapes
+// just steer coverage.
 func fuzzExpand(data []byte, mode uint8) []int64 {
 	vals := make([]int64, 0, 4*len(data)+1)
 	v := int64(0)
@@ -25,7 +27,11 @@ func fuzzExpand(data []byte, mode uint8) []int64 {
 				vals = append(vals, v)
 			}
 		case 1:
-			vals = append(vals, int64(b%23)-11)
+			if mode >= 128 {
+				vals = append(vals, int64(b)*211-27_000)
+			} else {
+				vals = append(vals, int64(b%23)-11)
+			}
 		default:
 			v = v<<13 ^ int64(b)<<27 ^ int64(b)
 			vals = append(vals, v)
@@ -47,6 +53,7 @@ func FuzzEncodedColumn(f *testing.F) {
 	f.Add([]byte("narrow domain sample bytes"), uint8(1), int64(-11), int64(5))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 250, 251, 252}, uint8(2), int64(-1<<62), int64(1<<62))
 	f.Add([]byte{42}, uint8(0), int64(42), int64(42))
+	f.Add([]byte("sixteen-bit narrow offsets"), uint8(130), int64(-5_000), int64(9_000))
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8, lo, hi int64) {
 		vals := fuzzExpand(data, mode)
 		if lo > hi {
@@ -59,7 +66,7 @@ func FuzzEncodedColumn(f *testing.F) {
 				t.Fatalf("rows = %d, want %d", ec.Rows, len(vals))
 			}
 			// Const is adopted unconditionally (16 fixed bytes, O(1) access);
-			// RLE/FOR must clear the 3/4 shrink threshold.
+			// RLE and narrow must clear the 3/4 shrink threshold.
 			if ec.Kind != storage.EncConst && ec.PhysBytes*4 > int64(len(vals))*8*3 {
 				t.Fatalf("%v adopted above the shrink threshold: %d bytes for %d rows",
 					ec.Kind, ec.PhysBytes, len(vals))

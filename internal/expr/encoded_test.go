@@ -49,37 +49,50 @@ func selEqual(t *testing.T, ctx string, got, want []int32) {
 }
 
 // TestEncodedSelectEquivalence drives random predicates over columns shaped
-// for each encoding (RLE runs, narrow FOR domain, const, and an un-encodable
+// for each encoding (long RLE runs, short RLE runs over a wide span, 8- and
+// 16-bit narrow offsets from a negative minimum, const, and an un-encodable
 // wide column for the mixed plain-fallback case) and pins the encoded
 // SelectInto to the plain kernels' output, index for index.
 func TestEncodedSelectEquivalence(t *testing.T) {
 	rnd := rand.New(rand.NewSource(11))
 	const rows = 10_000
 	cols := map[string][]int64{
-		"runs":   make([]int64, rows),
-		"narrow": make([]int64, rows),
-		"const":  make([]int64, rows),
-		"wide":   make([]int64, rows),
+		"runs":     make([]int64, rows),
+		"short":    make([]int64, rows),
+		"narrow":   make([]int64, rows),
+		"narrow16": make([]int64, rows),
+		"const":    make([]int64, rows),
+		"wide":     make([]int64, rows),
 	}
-	v := int64(0)
+	v, sv := int64(0), int64(0)
 	for i := 0; i < rows; i++ {
 		if rnd.Intn(64) == 0 {
 			v += rnd.Int63n(5)
 		}
+		if rnd.Intn(6) == 0 {
+			sv = rnd.Int63n(2_000_000) - 1_000_000
+		}
 		cols["runs"][i] = v
+		cols["short"][i] = sv
 		cols["narrow"][i] = rnd.Int63n(200) - 100
+		cols["narrow16"][i] = rnd.Int63n(60_000) - 30_000
 		cols["const"][i] = 7
 		cols["wide"][i] = int64(rnd.Uint64())
 	}
 	enc := sealedEncoding(t, cols)
-	if enc.Col("runs") == nil || enc.Col("runs").Kind != storage.EncRLE {
-		t.Fatalf("runs column: %+v", enc.Col("runs"))
+	for name, kind := range map[string]storage.EncKind{
+		"runs": storage.EncRLE, "short": storage.EncRLE, "narrow": storage.EncNarrow,
+		"narrow16": storage.EncNarrow, "const": storage.EncConst,
+	} {
+		if ec := enc.Col(name); ec == nil || ec.Kind != kind {
+			t.Fatalf("%s column: %+v, want %v", name, ec, kind)
+		}
 	}
-	if enc.Col("narrow") == nil || enc.Col("narrow").Kind != storage.EncFOR {
-		t.Fatalf("narrow column: %+v", enc.Col("narrow"))
+	if ec := enc.Col("narrow"); ec.Narrow8 == nil || ec.Ref >= 0 {
+		t.Fatalf("narrow column: want 8-bit offsets from a negative Ref, got Ref %d", ec.Ref)
 	}
-	if enc.Col("const") == nil || enc.Col("const").Kind != storage.EncConst {
-		t.Fatalf("const column: %+v", enc.Col("const"))
+	if ec := enc.Col("narrow16"); ec.Narrow16 == nil {
+		t.Fatal("narrow16 column: want 16-bit offsets")
 	}
 	if enc.Col("wide") != nil {
 		t.Fatalf("wide column unexpectedly encoded: %+v", enc.Col("wide"))
@@ -95,17 +108,32 @@ func TestEncodedSelectEquivalence(t *testing.T) {
 	}
 	preds := []func() algebra.Predicate{
 		func() algebra.Predicate { return randRange("runs") },
+		func() algebra.Predicate { return randRange("short") },
 		func() algebra.Predicate { return randRange("narrow") },
-		// Multi-interval over the FOR column (Set.Contains fallback).
+		func() algebra.Predicate { return randRange("narrow16") },
+		// Multi-interval over the short-run column (Set.Contains per run)
+		// and over the narrow column (Set.Contains per decoded row).
+		func() algebra.Predicate {
+			return algebra.NewPredicate().With("short", algebra.NewSet(
+				algebra.Interval{Lo: -900_000, Hi: -500_000}, algebra.Interval{Lo: 0, Hi: 100_000}))
+		},
 		func() algebra.Predicate {
 			return algebra.NewPredicate().With("narrow", algebra.NewSet(
 				algebra.Interval{Lo: -90, Hi: -50}, algebra.Interval{Lo: 0, Hi: 10}))
 		},
+		// Narrow bounds past the offsets' domain on either side, down to
+		// the int64 extremes: the offset-domain rewrite must stay exact.
+		func() algebra.Predicate { return algebra.NewPredicate().WithRange("narrow", math.MinInt64, -95) },
+		func() algebra.Predicate { return algebra.NewPredicate().WithRange("narrow", 95, math.MaxInt64) },
+		func() algebra.Predicate { return algebra.NewPredicate().WithRange("narrow16", -1<<40, 1<<40) },
+		func() algebra.Predicate { return algebra.NewPredicate().WithRange("narrow16", 40_000, 1<<40) },
 		// Const all-pass and all-fail.
 		func() algebra.Predicate { return algebra.NewPredicate().WithRange("const", 0, 100) },
 		func() algebra.Predicate { return algebra.NewPredicate().WithRange("const", 8, 100) },
 		// Conjunctions mixing encodings, including the plain fallback.
 		func() algebra.Predicate { return randRange("runs").WithRange("narrow", -40, 40) },
+		func() algebra.Predicate { return randRange("narrow").WithRange("narrow16", -10_000, 20_000) },
+		func() algebra.Predicate { return randRange("narrow16").WithRange("short", -1_000_000, 0) },
 		func() algebra.Predicate { return randRange("narrow").WithRange("runs", 3, 1<<40) },
 		func() algebra.Predicate { return randRange("runs").WithRange("wide", math.MinInt64, 0) },
 		func() algebra.Predicate {
@@ -172,9 +200,12 @@ func TestBindEncodedDeclines(t *testing.T) {
 	narrow := make([]int64, 4096)
 	for i := range wide {
 		wide[i] = int64(rnd.Uint64())
-		narrow[i] = rnd.Int63n(50)
+		narrow[i] = int64(i / 64 % 50)
 	}
 	enc := sealedEncoding(t, map[string][]int64{"wide": wide, "narrow": narrow})
+	if enc.Col("narrow") == nil || enc.Col("wide") != nil {
+		t.Fatalf("fixture: narrow=%+v wide=%+v, want narrow encoded, wide plain", enc.Col("narrow"), enc.Col("wide"))
+	}
 	resolve := func(name string) []int64 {
 		return map[string][]int64{"wide": wide, "narrow": narrow}[name]
 	}
@@ -205,13 +236,14 @@ func TestBindEncodedDeclines(t *testing.T) {
 
 // TestPassRuns pins the fused path's run decomposition: the union of the
 // reported all-pass ranges must equal the plain selection exactly, and
-// filters with FOR or plain conjuncts must refuse to decompose.
+// filters with a plain or narrow conjunct must refuse to decompose.
 func TestPassRuns(t *testing.T) {
 	rnd := rand.New(rand.NewSource(9))
 	const rows = 8192
 	runsA := make([]int64, rows)
 	runsB := make([]int64, rows)
 	narrow := make([]int64, rows)
+	wide := make([]int64, rows)
 	a, b := int64(0), int64(100)
 	for i := range runsA {
 		if rnd.Intn(40) == 0 {
@@ -223,13 +255,20 @@ func TestPassRuns(t *testing.T) {
 		runsA[i] = a
 		runsB[i] = b
 		narrow[i] = rnd.Int63n(30)
+		wide[i] = int64(rnd.Uint64())
 	}
 	constCol := make([]int64, rows)
 	for i := range constCol {
 		constCol[i] = 5
 	}
-	cols := map[string][]int64{"ra": runsA, "rb": runsB, "narrow": narrow, "c": constCol}
+	cols := map[string][]int64{"ra": runsA, "rb": runsB, "narrow": narrow, "wide": wide, "c": constCol}
 	enc := sealedEncoding(t, cols)
+	if ec := enc.Col("narrow"); ec == nil || ec.Kind != storage.EncNarrow {
+		t.Fatalf("shuffled narrow column: %+v, want narrow", ec)
+	}
+	if ec := enc.Col("wide"); ec != nil {
+		t.Fatalf("wide column encoded: %+v", ec)
+	}
 	resolve := func(name string) []int64 { return cols[name] }
 
 	for trial := 0; trial < 100; trial++ {
@@ -264,14 +303,17 @@ func TestPassRuns(t *testing.T) {
 		selEqual(t, "passruns", got, f.SelectInto(start, end, nil))
 	}
 
-	// A FOR conjunct blocks decomposition — as does a plain one.
-	f, err := Compile(algebra.NewPredicate().WithRange("ra", 0, 1<<40).WithRange("narrow", 3, 9), resolve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ef := f.BindEncoded(enc, 0); ef == nil {
-		t.Fatal("BindEncoded returned nil")
-	} else if ef.PassRuns(0, rows, func(lo, hi int) { t.Fatal("fn called") }) {
-		t.Fatal("FOR conjunct must not decompose")
+	// A narrow conjunct (per-row offsets) and a plain conjunct each block
+	// decomposition.
+	for _, blocker := range []string{"narrow", "wide"} {
+		f, err := Compile(algebra.NewPredicate().WithRange("ra", 0, 1<<40).WithRange(blocker, 3, 9), resolve)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ef := f.BindEncoded(enc, 0); ef == nil {
+			t.Fatal("BindEncoded returned nil")
+		} else if ef.PassRuns(0, rows, func(lo, hi int) { t.Fatal("fn called") }) {
+			t.Fatalf("%s conjunct must not decompose", blocker)
+		}
 	}
 }

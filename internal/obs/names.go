@@ -63,10 +63,13 @@ const (
 	MEngineSegmentsDropped     = "laqy_engine_segments_dropped_total"
 	MEngineSegmentMergeSeconds = "laqy_engine_segment_merge_seconds"
 
-	// Storage (internal/storage via the facade): physical vs logical byte
-	// footprints of registered tables. Physical counts sealed segments at
-	// their encoded size (docs/PERFORMANCE.md, "Encoded storage");
-	// logical is rows×columns×8. Updated on Register/LoadSSB/Append.
+	// Storage (internal/storage via the facade): scanned vs plain byte
+	// counts of registered tables. Encoded counts the columns of sealed
+	// segments that adopted an encoding at their encoded size and every
+	// other column at rows×8 (docs/PERFORMANCE.md, "Encoded storage");
+	// encodings are scan representations held beside the plain vectors, so
+	// it is not resident memory. Logical is rows×columns×8, the plain
+	// vectors that stay resident. Updated on Register/LoadSSB/Append.
 	MStorageEncodedBytes = "laqy_storage_encoded_bytes" // gauge
 	MStorageLogicalBytes = "laqy_storage_logical_bytes" // gauge
 

@@ -1,21 +1,30 @@
 // Lightweight per-segment column encodings. A sealed segment's columns are
 // immutable, so at first encoded scan the segment picks — per column, by a
 // byte-cost heuristic — one of three representations the kernels can
-// evaluate predicates over without materializing the plain vector:
+// evaluate predicates over:
 //
 //   - EncConst:  every row holds one value (one int64 for the whole run);
 //   - EncRLE:    run-length encoding for sorted/clustered columns (run
-//     values + run start offsets, run ends implicit);
-//   - EncFOR:    frame-of-reference bit-packing for narrow-domain integers
-//     (deltas from the segment minimum, packed at the domain's bit width).
+//     values + run start offsets, run ends implicit), tested one run at a
+//     time;
+//   - EncNarrow: byte-aligned offsets from the segment's minimum, one or two
+//     bytes per row, for shuffled narrow domains (SSB's lo_discount,
+//     lo_quantity, lo_orderdate), tested one row at a time by the same
+//     branchless compare as the plain kernels over an eighth or a quarter
+//     of the bytes.
 //
-// The plain []int64 vector remains the logical source of truth — encodings
-// are scan accelerators, never the only copy — which keeps gathers, joins,
-// and per-row fallbacks O(1) and lets EncodeColumn decline columns the
-// heuristic can't shrink. The open (last) segment of a table never encodes:
-// its rows still change, and keeping it plain keeps appends O(1). Seal()
-// converts a bulk-loaded table to the all-sealed layout so loaded data
-// serves encoded scans immediately.
+// The plain []int64 vector remains resident as the source of truth —
+// encodings are scan representations held beside it, never the only copy —
+// which keeps gathers, joins, and per-row fallbacks O(1) and lets
+// EncodeColumn decline columns the heuristic can't shrink. A column whose
+// runs are about as many as its rows and whose values span more than 16
+// bits stays plain for the plain kernels, which read the resident vector
+// directly.
+//
+// The open (last) segment of a table never encodes: its rows still change,
+// and keeping it plain keeps appends O(1). Seal() converts a bulk-loaded
+// table to the all-sealed layout so loaded data serves encoded scans
+// immediately.
 //
 // Like zone maps, encodings are built once per sealed segment and the cache
 // is carried by pointer across table versions (AppendColumns), so an append
@@ -24,7 +33,6 @@
 package storage
 
 import (
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -40,8 +48,8 @@ const (
 	// EncRLE: run-length encoded (Values[i] repeated over
 	// [Starts[i], Starts[i+1])).
 	EncRLE
-	// EncFOR: frame-of-reference bit-packed (Ref + unpacked Width-bit delta).
-	EncFOR
+	// EncNarrow: row i holds Ref + Narrow8[i] (or Narrow16[i]).
+	EncNarrow
 )
 
 // String implements fmt.Stringer.
@@ -53,8 +61,8 @@ func (k EncKind) String() string {
 		return "const"
 	case EncRLE:
 		return "rle"
-	case EncFOR:
-		return "for"
+	case EncNarrow:
+		return "narrow"
 	default:
 		return "enc(?)"
 	}
@@ -69,6 +77,12 @@ const (
 	encMinShrinkDen = 4
 )
 
+// narrowMaxSpan is the widest value span EncNarrow holds: 16-bit offsets,
+// at most a quarter of the plain bytes. A 32-bit form would halve the
+// bytes scanned but keep another half-size copy of a wide column resident
+// beside its plain vector; SSB lineorder has four such columns.
+const narrowMaxSpan = 1<<16 - 1
+
 // EncodedCol is one column of one sealed segment in encoded physical form.
 // All row indices are segment-relative (0 = the segment's first row); the
 // engine converts absolute morsel rows by subtracting the segment start.
@@ -76,8 +90,8 @@ const (
 type EncodedCol struct {
 	// Name is the column name.
 	Name string
-	// Kind is EncConst, EncRLE, or EncFOR (never EncPlain: plain columns
-	// simply have no EncodedCol).
+	// Kind is EncConst, EncRLE or EncNarrow (never EncPlain: plain
+	// columns simply have no EncodedCol).
 	Kind EncKind
 	// Rows is the segment's row count.
 	Rows int
@@ -90,14 +104,11 @@ type EncodedCol struct {
 	Values []int64
 	Starts []int32
 
-	// Ref, Width, and Words are the FOR packing: row i decodes to
-	// Ref + unpack(i), where unpack reads Width bits at bit offset i*Width
-	// from Words. Words carries one zero pad word so the branchless two-word
-	// read never runs off the end. Width is in [1, 63]; the arithmetic is
-	// two's-complement exact (uint64(value) == uint64(Ref) + packed mod 2^64).
-	Ref   int64
-	Width uint8
-	Words []uint64
+	// Ref and exactly one of Narrow8/Narrow16 are the EncNarrow offsets:
+	// Ref is the segment's minimum, each row stores its value minus Ref.
+	Ref      int64
+	Narrow8  []uint8
+	Narrow16 []uint16
 
 	// PhysBytes is the physical footprint of this representation.
 	PhysBytes int64
@@ -106,71 +117,79 @@ type EncodedCol struct {
 // EncodeColumn encodes vals (one segment's slice of a column) or returns nil
 // when no representation beats the plain vector by the shrink threshold.
 // The cost model is pure byte counting: const = 16 bytes, RLE = 12 bytes per
-// run (value + start), FOR = Width bits per row rounded up to words plus the
-// pad word, plain = 8 bytes per row.
+// run (value + start), narrow = 1 or 2 bytes per row, plain = 8 bytes per
+// row. The cheapest candidate wins; RLE wins ties, since its kernels test
+// one value per run.
 func EncodeColumn(name string, vals []int64) *EncodedCol {
 	rows := len(vals)
 	if rows == 0 {
 		return nil
 	}
 	runs := 1
-	mn, mx := vals[0], vals[0]
+	lo, hi := vals[0], vals[0]
 	for i := 1; i < rows; i++ {
 		v := vals[i]
 		if v != vals[i-1] {
 			runs++
 		}
-		if v < mn {
-			mn = v
-		} else if v > mx {
-			mx = v
-		}
+		lo, hi = min(lo, v), max(hi, v)
 	}
 	if runs == 1 {
 		return &EncodedCol{Name: name, Kind: EncConst, Rows: rows, Value: vals[0], PhysBytes: 16}
 	}
-	plainBytes := int64(rows) * 8
 	rleBytes := int64(runs) * 12
-	// span is the unsigned domain width; two's-complement subtraction is
-	// exact even when mx-mn overflows int64.
-	span := uint64(mx) - uint64(mn)
-	width := bits.Len64(span) // >= 1 (runs > 1 implies span > 0)
-	forBytes := int64(1)<<62 - 1
-	if width < 64 {
-		forBytes = int64((rows*width+63)/64+1) * 8
+	narrowBytes := int64(-1)
+	// The span in uint64 arithmetic is exact for any int64 lo <= hi.
+	if span := uint64(hi) - uint64(lo); span <= narrowMaxSpan {
+		narrowBytes = int64(rows) * 2
+		if span <= 1<<8-1 {
+			narrowBytes = int64(rows)
+		}
 	}
-	best, kind := rleBytes, EncRLE
-	if forBytes < best {
-		best, kind = forBytes, EncFOR
+	if narrowBytes >= 0 && narrowBytes < rleBytes {
+		return encodeNarrow(name, vals, lo, narrowBytes)
 	}
-	if best*encMinShrinkDen > plainBytes*encMinShrinkNum {
+	if rleBytes*encMinShrinkDen > int64(rows)*8*encMinShrinkNum {
 		return nil
 	}
-	ec := &EncodedCol{Name: name, Kind: kind, Rows: rows, PhysBytes: best}
-	if kind == EncRLE {
-		ec.Values = make([]int64, 0, runs)
-		ec.Starts = make([]int32, 0, runs)
-		for i := 0; i < rows; i++ {
-			if i == 0 || vals[i] != vals[i-1] {
-				ec.Values = append(ec.Values, vals[i])
-				ec.Starts = append(ec.Starts, int32(i))
-			}
-		}
-		return ec
-	}
-	ec.Ref = mn
-	ec.Width = uint8(width)
-	ec.Words = make([]uint64, (rows*width+63)/64+1)
-	for i, v := range vals {
-		u := uint64(v) - uint64(mn)
-		bit := uint(i) * uint(width)
-		w, off := bit>>6, bit&63
-		ec.Words[w] |= u << off
-		if off+uint(width) > 64 {
-			ec.Words[w+1] = u >> (64 - off)
+	ec := &EncodedCol{Name: name, Kind: EncRLE, Rows: rows, PhysBytes: rleBytes,
+		Values: make([]int64, 0, runs), Starts: make([]int32, 0, runs)}
+	for i := 0; i < rows; i++ {
+		if i == 0 || vals[i] != vals[i-1] {
+			ec.Values = append(ec.Values, vals[i])
+			ec.Starts = append(ec.Starts, int32(i))
 		}
 	}
 	return ec
+}
+
+// encodeNarrow stores vals as offsets from ref, their minimum, one byte
+// per row when physBytes says so and two otherwise.
+func encodeNarrow(name string, vals []int64, ref, physBytes int64) *EncodedCol {
+	ec := &EncodedCol{Name: name, Kind: EncNarrow, Rows: len(vals), Ref: ref, PhysBytes: physBytes}
+	if physBytes == int64(len(vals)) {
+		ec.Narrow8 = narrowOffsets[uint8](vals, ref)
+	} else {
+		ec.Narrow16 = narrowOffsets[uint16](vals, ref)
+	}
+	return ec
+}
+
+func narrowOffsets[T uint8 | uint16](vals []int64, ref int64) []T {
+	out := make([]T, len(vals))
+	for i, v := range vals {
+		out[i] = T(uint64(v) - uint64(ref))
+	}
+	return out
+}
+
+// sumOffsets returns the sum of offs as int64.
+func sumOffsets[T uint8 | uint16](offs []T) int64 {
+	var s int64
+	for _, u := range offs { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+		s += int64(u)
+	}
+	return s
 }
 
 // NumRuns returns the run count for EncRLE columns.
@@ -199,26 +218,17 @@ func (e *EncodedCol) RunEnd(ri int) int {
 	return e.Rows
 }
 
-// UnpackAt returns the packed FOR delta of segment-relative row i. The
-// two-word read is branchless: Go defines shifts >= 64 as zero, so a
-// word-aligned value reads zero from the (pad-guaranteed) next word.
-func (e *EncodedCol) UnpackAt(i int) uint64 {
-	bit := uint(i) * uint(e.Width)
-	w, off := bit>>6, bit&63
-	mask := uint64(1)<<e.Width - 1
-	return (e.Words[w]>>off | e.Words[w+1]<<(64-off)) & mask
-}
-
 // At decodes segment-relative row i.
 func (e *EncodedCol) At(i int) int64 {
-	switch e.Kind {
-	case EncConst:
+	switch {
+	case e.Kind == EncConst:
 		return e.Value
-	case EncRLE:
-		return e.Values[e.RunContaining(i)]
-	default:
-		return int64(uint64(e.Ref) + e.UnpackAt(i))
+	case e.Narrow8 != nil:
+		return e.Ref + int64(e.Narrow8[i])
+	case e.Narrow16 != nil:
+		return e.Ref + int64(e.Narrow16[i])
 	}
+	return e.Values[e.RunContaining(i)]
 }
 
 // DecodeInto decodes the segment-relative rows [from, to) into dst, which
@@ -226,36 +236,31 @@ func (e *EncodedCol) At(i int) int64 {
 // scan kernels never materialize.
 func (e *EncodedCol) DecodeInto(dst []int64, from, to int) []int64 {
 	dst = dst[:to-from]
-	switch e.Kind {
-	case EncConst:
+	if e.Kind != EncRLE {
 		for i := range dst {
-			dst[i] = e.Value
+			dst[i] = e.At(from + i)
 		}
-	case EncRLE:
-		ri := e.RunContaining(from)
-		for i := from; i < to; {
-			end := e.RunEnd(ri)
-			if end > to {
-				end = to
-			}
-			v := e.Values[ri]
-			for ; i < end; i++ {
-				dst[i-from] = v
-			}
-			ri++
+		return dst
+	}
+	ri := e.RunContaining(from)
+	for i := from; i < to; {
+		end := e.RunEnd(ri)
+		if end > to {
+			end = to
 		}
-	default:
-		for i := range dst {
-			dst[i] = int64(uint64(e.Ref) + e.UnpackAt(from+i))
+		v := e.Values[ri]
+		for ; i < end; i++ {
+			dst[i-from] = v
 		}
+		ri++
 	}
 	return dst
 }
 
 // SumRange returns the exact int64 (wrapping) sum of segment-relative rows
 // [from, to) straight from the encoded form: run_value × run_length
-// arithmetic for RLE/const, reference-scaled delta sums for FOR. This is
-// the arithmetic behind the engine's fused aggregate path; the wrapping
+// arithmetic, or Ref × rows plus the narrow offsets' sum. This is the
+// arithmetic behind the engine's fused aggregate path; the wrapping
 // semantics match the plain kernels' int64 accumulation exactly.
 //
 //laqy:hot fused-aggregate fold over encoded runs
@@ -263,36 +268,26 @@ func (e *EncodedCol) SumRange(from, to int) int64 {
 	if to <= from {
 		return 0
 	}
-	switch e.Kind {
-	case EncConst:
+	switch {
+	case e.Kind == EncConst:
 		return e.Value * int64(to-from)
-	case EncRLE:
-		ri := e.RunContaining(from)
-		var sum int64
-		for i := from; i < to; { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			end := e.RunEnd(ri)
-			if end > to {
-				end = to
-			}
-			sum += e.Values[ri] * int64(end-i)
-			i = end
-			ri++
-		}
-		return sum
-	default:
-		words, width := e.Words, uint(e.Width)
-		mask := uint64(1)<<width - 1
-		var acc uint64
-		// Incremental bit cursor: no per-row multiply. The pad word keeps
-		// words[w+1] in bounds for the last row.
-		bit := uint(from) * width
-		for i := from; i < to; i++ { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
-			w, off := bit>>6, bit&63
-			acc += (words[w]>>off | words[w+1]<<(64-off)) & mask
-			bit += width
-		}
-		return int64(uint64(e.Ref)*uint64(to-from) + acc)
+	case e.Narrow8 != nil:
+		return e.Ref*int64(to-from) + sumOffsets(e.Narrow8[from:to])
+	case e.Narrow16 != nil:
+		return e.Ref*int64(to-from) + sumOffsets(e.Narrow16[from:to])
 	}
+	ri := e.RunContaining(from)
+	var sum int64
+	for i := from; i < to; { //laqy:allow ctxpoll leaf kernel; the morsel driver polls per morsel
+		end := e.RunEnd(ri)
+		if end > to {
+			end = to
+		}
+		sum += e.Values[ri] * int64(end-i)
+		i = end
+		ri++
+	}
+	return sum
 }
 
 // SegmentEncoding holds one sealed segment's encoded columns: only columns

@@ -33,8 +33,8 @@ func TestEncodeColumnConst(t *testing.T) {
 }
 
 func TestEncodeColumnRLE(t *testing.T) {
-	// Sorted with long runs and a huge value span: RLE must win, FOR can't
-	// (width 63-64) — mirrors a date-clustered fact column.
+	// Sorted with long runs and a huge value span — mirrors a date-clustered
+	// fact column.
 	var vals []int64
 	for r := 0; r < 8; r++ {
 		v := int64(r) * (math.MaxInt64 / 8)
@@ -65,38 +65,79 @@ func TestEncodeColumnRLE(t *testing.T) {
 	}
 }
 
-func TestEncodeColumnFOR(t *testing.T) {
-	// Shuffled narrow domain: runs ≈ rows so RLE loses, 7-bit FOR wins.
+func TestEncodeColumnNarrowShuffled(t *testing.T) {
+	// The shuffled narrow-domain columns of SSB lineorder have runs ≈ rows,
+	// so RLE loses; they take byte-aligned offsets from their minimum — one
+	// byte per row for lo_discount and lo_quantity, two for lo_orderdate's
+	// yyyymmdd span. One value more than 16 bits spans stays plain.
 	rnd := rand.New(rand.NewSource(1))
-	vals := make([]int64, 4096)
-	for i := range vals {
-		vals[i] = 1_000_000 + rnd.Int63n(100)
-	}
-	ec := EncodeColumn("c", vals)
-	if ec == nil || ec.Kind != EncFOR {
-		t.Fatalf("kind = %v, want for", ec)
-	}
-	if ec.Width != 7 {
-		t.Fatalf("width = %d, want 7", ec.Width)
-	}
-	for i, v := range decodeAll(ec) {
-		if v != vals[i] {
-			t.Fatalf("row %d = %d, want %d", i, v, vals[i])
+	for _, c := range []struct {
+		name   string
+		lo, hi int64
+		bytes  int64 // per row; 0 = plain
+	}{
+		{"lo_discount", 0, 10, 1},
+		{"lo_quantity", 1, 50, 1},
+		{"byte_edge", -128, 127, 1},
+		{"lo_orderdate", 19920101, 19981230, 2},
+		{"short_edge", math.MaxInt64 - 65535, math.MaxInt64, 2},
+		{"seventeen_bits", -1 << 15, 1 << 15, 0},
+	} {
+		vals := make([]int64, DefaultMorselSize)
+		for i := range vals {
+			vals[i] = c.lo + rnd.Int63n(c.hi-c.lo+1)
+		}
+		vals[0], vals[1] = c.lo, c.hi // pin the full span
+		ec := EncodeColumn(c.name, vals)
+		if c.bytes == 0 {
+			if ec != nil {
+				t.Fatalf("%s encoded as %v (%d bytes), want plain", c.name, ec.Kind, ec.PhysBytes)
+			}
+			continue
+		}
+		if ec == nil || ec.Kind != EncNarrow || ec.Ref != c.lo || ec.PhysBytes != c.bytes*int64(len(vals)) {
+			t.Fatalf("%s: enc = %v, want narrow from %d at %d B/row", c.name, ec, c.lo, c.bytes)
+		}
+		if (c.bytes == 1) != (ec.Narrow8 != nil) || (c.bytes == 2) != (ec.Narrow16 != nil) {
+			t.Fatalf("%s: offsets 8-bit=%v 16-bit=%v, want %d B/row", c.name, ec.Narrow8 != nil, ec.Narrow16 != nil, c.bytes)
+		}
+		for i, v := range decodeAll(ec) {
+			if v != vals[i] || ec.At(i) != vals[i] {
+				t.Fatalf("%s: row %d = %d / At %d, want %d", c.name, i, v, ec.At(i), vals[i])
+			}
 		}
 	}
 }
 
-func TestEncodeColumnFORNegativeSpan(t *testing.T) {
-	// Negative references and values crossing zero stay exact: FOR works in
-	// uint64 two's-complement space.
-	vals := []int64{-5, -4, -3, 3, 4, -5, 0, -1, 2, -2, 1, 0, -3, 3, -4, 2}
-	ec := EncodeColumn("c", vals)
-	if ec == nil || ec.Kind != EncFOR || ec.Ref != -5 {
+func TestEncodeColumnPrefersRLEOverNarrow(t *testing.T) {
+	// A narrow domain in runs of 16 rows: RLE costs 0.75 B/row, under the
+	// 1 B/row of 8-bit offsets, and keeps its run-granular kernels.
+	vals := make([]int64, 4096)
+	for i := range vals {
+		vals[i] = int64(i / 16 % 40)
+	}
+	if ec := EncodeColumn("c", vals); ec == nil || ec.Kind != EncRLE {
+		t.Fatalf("enc = %v, want rle", ec)
+	}
+}
+
+func TestEncodeColumnRLEExtremeValues(t *testing.T) {
+	// Runs holding negative values, zero crossings and the int64 extremes
+	// decode exactly.
+	vals := []int64{math.MinInt64, -5, 0, 3, math.MaxInt64}
+	var col []int64
+	for _, v := range vals {
+		for j := 0; j < 64; j++ {
+			col = append(col, v)
+		}
+	}
+	ec := EncodeColumn("c", col)
+	if ec == nil || ec.Kind != EncRLE || ec.NumRuns() != len(vals) {
 		t.Fatalf("enc = %+v", ec)
 	}
 	for i, v := range decodeAll(ec) {
-		if v != vals[i] {
-			t.Fatalf("row %d = %d, want %d", i, v, vals[i])
+		if v != col[i] {
+			t.Fatalf("row %d = %d, want %d", i, v, col[i])
 		}
 	}
 }
@@ -120,8 +161,9 @@ func TestEncodeColumnDeclines(t *testing.T) {
 func TestSumRangeMatchesNaive(t *testing.T) {
 	rnd := rand.New(rand.NewSource(3))
 	cases := map[string][]int64{}
-	// Const, RLE, FOR, and a FOR case with values that overflow int64 sums
-	// (wrapping semantics must match the plain int64 accumulation).
+	// Const, RLE, 8- and 16-bit narrow, and RLE and narrow cases with values
+	// that overflow int64 sums (wrapping semantics must match the plain int64
+	// accumulation).
 	constCol := make([]int64, 777)
 	for i := range constCol {
 		constCol[i] = 9
@@ -135,16 +177,23 @@ func TestSumRangeMatchesNaive(t *testing.T) {
 		}
 	}
 	cases["rle"] = rle
-	forCol := make([]int64, 1500)
-	for i := range forCol {
-		forCol[i] = -300 + rnd.Int63n(601)
-	}
-	cases["for"] = forCol
-	big := make([]int64, 1024)
-	for i := range big {
-		big[i] = math.MaxInt64 - rnd.Int63n(128)
+	var big []int64
+	for r := 0; r < 32; r++ {
+		v := math.MaxInt64 - rnd.Int63n(128)
+		for j := 0; j < 32; j++ {
+			big = append(big, v)
+		}
 	}
 	cases["wrap"] = big
+	narrow8 := make([]int64, 1500)
+	narrow16 := make([]int64, 1500)
+	narrowWrap := make([]int64, 1500)
+	for i := range narrow8 {
+		narrow8[i] = -300 + rnd.Int63n(250)
+		narrow16[i] = -30_000 + rnd.Int63n(60_001)
+		narrowWrap[i] = math.MaxInt64 - rnd.Int63n(200)
+	}
+	cases["narrow8"], cases["narrow16"], cases["narrow-wrap"] = narrow8, narrow16, narrowWrap
 
 	for name, vals := range cases {
 		ec := EncodeColumn(name, vals)
@@ -225,11 +274,11 @@ func TestSealMakesSegmentsEncodable(t *testing.T) {
 func TestEncodingCarriesAcrossAppend(t *testing.T) {
 	vals := make([]int64, 2*DefaultMorselSize)
 	for i := range vals {
-		vals[i] = int64(i % 50)
+		vals[i] = int64(i / 1000) // clustered: RLE-encodes
 	}
 	tab := sealedTable(t, "t", DefaultMorselSize, &Column{Name: "x", Kind: KindInt64, Ints: vals})
 	enc0 := tab.Segments()[0].Encoding()
-	if enc0 == nil {
+	if enc0 == nil || enc0.Col("x") == nil {
 		t.Fatal("no encoding on sealed segment")
 	}
 

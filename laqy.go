@@ -72,8 +72,10 @@ type Config struct {
 	// query through the plain []int64 kernels — the reference path the
 	// encoding equivalence suite pins bitwise-identical answers against.
 	// Production DBs leave it false: encoded evaluation is exact, never
-	// statistical, and sealed segments typically shrink well below their
-	// plain footprint (docs/PERFORMANCE.md, "Encoded storage").
+	// statistical: clustered or constant columns are scanned one run at a
+	// time instead of one row at a time, and shuffled narrow-domain columns
+	// over 1- or 2-byte offsets instead of 8-byte values
+	// (docs/PERFORMANCE.md, "Encoded storage").
 	DisableEncoding bool
 	// MinSupport, when > 0, enables the conservative per-stratum support
 	// check when reusing tightened samples: reuse falls back to online
@@ -258,8 +260,15 @@ func (db *DB) LoadSSB(lineorderRows int, seed uint64) error {
 	if err != nil {
 		return err
 	}
+	return db.registerSSB(data)
+}
+
+// registerSSB lays out a generated SSB dataset in segments of
+// Config.SegmentRows rows, seals it unless encoding is disabled, and
+// registers its tables.
+func (db *DB) registerSSB(data *ssb.Dataset) error {
 	for _, t := range []*storage.Table{data.Lineorder, data.Date, data.Supplier, data.Part, data.Customer} {
-		t, err = storage.Resegment(t, db.cfg.SegmentRows)
+		t, err := storage.Resegment(t, db.cfg.SegmentRows)
 		if err != nil {
 			return err
 		}
@@ -322,12 +331,13 @@ func (db *DB) NumRows(table string) (int, error) {
 
 // StorageStats reports the byte footprint of the registered tables.
 type StorageStats struct {
-	// PhysicalBytes is the resident columnar footprint: sealed segments at
-	// their encoded size, the open segment (and any un-encoded sealed
-	// segment) at rows×columns×8.
+	// PhysicalBytes is the bytes the scan kernels read: encoded columns of
+	// sealed segments at their encoded size, every other column at rows×8.
+	// It is not the resident footprint — encodings are scan representations
+	// held beside the plain vectors, which stay resident at LogicalBytes.
 	PhysicalBytes int64
-	// LogicalBytes is the un-encoded footprint, rows×columns×8 — the
-	// denominator of the encoding ratio.
+	// LogicalBytes is the plain footprint, rows×columns×8, always resident
+	// — the denominator of the encoding ratio.
 	LogicalBytes int64
 }
 
